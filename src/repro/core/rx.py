@@ -173,34 +173,33 @@ class RxRingManager:
     def on_recv_completion(self, binding_id: int, cqe: CompressedCqe,
                            trace_ctx=None) -> None:
         """Decode a receive CQE: stream the packet out, recycle buffers."""
-        self._deliver(binding_id, self.binding(binding_id), cqe, trace_ctx)
+        self.deliver(binding_id, cqe, trace_ctx)
 
     def on_recv_completions(self, binding_id: int, cqes, trace_ctxs=None):
-        """Burst variant of :meth:`on_recv_completion`.
-
-        Exactly equivalent to the serial calls, with the binding lookup
-        hoisted out of the per-CQE loop.
-        """
-        binding = self.binding(binding_id)
+        """Burst variant of :meth:`on_recv_completion`, exactly
+        equivalent to the serial calls."""
         if trace_ctxs is None:
-            for cqe in cqes:
-                self._deliver(binding_id, binding, cqe, None)
-        else:
-            for cqe, ctx in zip(cqes, trace_ctxs):
-                self._deliver(binding_id, binding, cqe, ctx)
+            trace_ctxs = [None] * len(cqes)
+        for cqe, ctx in zip(cqes, trace_ctxs):
+            self.deliver(binding_id, cqe, ctx)
 
-    def deliver_fused(self, binding_id: int, cqe: CompressedCqe,
-                      emit: Callable, recycle_writer: Callable) -> None:
-        """Decode a receive CQE ahead of its PCIe arrival (fused mode).
+    def deliver(self, binding_id: int, cqe: CompressedCqe, trace_ctx=None,
+                emit: Optional[Callable] = None,
+                recycle_writer: Optional[Callable] = None) -> None:
+        """Decode a receive CQE: stream the packet out, recycle buffers.
 
-        State effects are identical to :meth:`on_recv_completion`, with
-        the continuation plumbing supplied by the caller: ``emit(data,
-        meta)`` replaces ``self.emit`` (invoked before recycling, as in
-        :meth:`_deliver`) and recycle doorbells go through
-        ``recycle_writer`` (a future-keyed PCIe writer).  The caller
-        gates out tracing and match-action programs.
+        ``emit(data, meta)`` and ``recycle_writer(addr, payload)``
+        default to the manager's own emitter and MMIO writer; a caller
+        decoding a CQE ahead of its PCIe arrival supplies continuation
+        plumbing instead (FLD's fused rx path).
         """
-        binding = self.binding(binding_id)
+        binding = self._bindings.get(binding_id)
+        if binding is None:
+            raise RxError(f"unknown rx binding {binding_id}")
+        if emit is None:
+            emit = self.emit
+        if recycle_writer is None:
+            recycle_writer = self.mmio_writer
         self.stats_cqes += 1
         desc_index = self._full_desc_index(binding, cqe.wqe_counter)
         slot = desc_index % binding.ring_entries
@@ -209,32 +208,7 @@ class RxRingManager:
         data = bytes(self._sram[offset:offset + cqe.byte_count])
         binding.stats_packets += 1
         binding.stats_bytes += cqe.byte_count
-        emit(data, AxisMetadata(
-            queue_id=binding_id,
-            context_id=cqe.flow_tag,
-            flags=cqe.flags,
-            msg_last=bool(cqe.flags & CQE_FLAG_MSG_LAST),
-            src_qpn=cqe.qpn,
-            trace_ctx=None,
-        ))
-        while binding.recycled < desc_index:
-            binding.recycled += 1
-            binding.pi += 1
-            binding.stats_recycled += 1
-            recycle_writer(binding.rq_doorbell_addr,
-                           (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
-
-    def _deliver(self, binding_id: int, binding: _RxBinding,
-                 cqe: CompressedCqe, trace_ctx) -> None:
-        self.stats_cqes += 1
-        desc_index = self._full_desc_index(binding, cqe.wqe_counter)
-        slot = desc_index % binding.ring_entries
-        offset = (binding.sram_offset + slot * binding.buffer_size
-                  + cqe.stride_index * binding.stride_size)
-        data = bytes(self._sram[offset:offset + cqe.byte_count])
-        binding.stats_packets += 1
-        binding.stats_bytes += cqe.byte_count
-        if self.emit is not None:
+        if emit is not None:
             meta = AxisMetadata(
                 queue_id=binding_id,
                 context_id=cqe.flow_tag,
@@ -245,10 +219,19 @@ class RxRingManager:
             )
             hook = self.prog_hook
             if hook is None:
-                self.emit(data, meta)
+                emit(data, meta)
             else:
-                hook(binding_id, data, meta, self.emit)
-        self._recycle_before(binding, desc_index)
+                hook(binding_id, data, meta, emit)
+        # Buffers before the one now filling are complete: return them,
+        # strictly in posting order — which is what lets the
+        # host-memory descriptors stay immutable (§5.2).
+        while binding.recycled < desc_index:
+            binding.recycled += 1
+            binding.pi += 1
+            binding.stats_recycled += 1
+            if recycle_writer is not None:
+                recycle_writer(binding.rq_doorbell_addr,
+                               (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
 
     # -- recycle-in-order (§5.2 "Receive Ring in Host Memory") ------------------
 
@@ -258,20 +241,6 @@ class RxRingManager:
         if index < binding.recycled:
             index += 1 << 16
         return index
-
-    def _recycle_before(self, binding: _RxBinding, desc_index: int) -> None:
-        """Buffers before the one now filling are complete: return them.
-
-        Recycling is strictly in posting order, which is what lets the
-        host-memory descriptors stay immutable.
-        """
-        while binding.recycled < desc_index:
-            binding.recycled += 1
-            binding.pi += 1
-            binding.stats_recycled += 1
-            if self.mmio_writer is not None:
-                self.mmio_writer(binding.rq_doorbell_addr,
-                                 (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
 
     # -- accounting ---------------------------------------------------------------
 

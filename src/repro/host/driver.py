@@ -37,7 +37,7 @@ from ..nic import (
 from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
-from ..sim import Event, Simulator, Store, fused_dispatch_ok
+from ..sim import Event, Simulator, Store
 from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
@@ -91,31 +91,26 @@ class EthQueuePair:
         self.stats_rx = 0
         self._spans = self.sim.telemetry.spans
         # Events this queue pair schedules directly (fused rx dispatch)
-        # attribute to the same profiler stage as its processes.
+        # attribute to the queue pair's rx stage.
         self.profile_tag = f"ethqp{self.sq.qpn}.rx"
-        self.sim.spawn(self._rx_dispatcher(), name=f"ethqp{self.sq.qpn}.rx")
-        # Completion retirement: in cut-through (fused) mode the loop is
-        # pure bookkeeping — no timeouts — so a flat notify consumer
-        # replaces the generator; traced/spanned runs keep the process.
-        if fused_dispatch_ok(self.sim, driver.fabric):
-            _TxRetireWorker(self)
-        else:
-            self.sim.spawn(self._tx_retire(),
-                           name=f"ethqp{self.sq.qpn}.txc")
-        # Fused receive dispatch: in cut-through fabric mode the NIC
-        # hands rx CQEs (with their in-flight write handle) straight to
-        # _rx_fused, which folds PCIe delivery and this core's
-        # per-packet processing delay into ONE event per packet — the
-        # timing (a serial dispatcher starting each packet at
-        # max(cqe_arrival, previous_done) and working packet_cost()
-        # seconds) is exactly the generator loop's.  Span-traced runs
-        # keep the generator so per-stage span records are unchanged.
+        # Completion retirement is pure bookkeeping (no timeouts).
+        _NotifyConsumer(self.sim, self.tx_cq.notify,
+                        f"ethqp{self.sq.qpn}.txc", self._retire_tx)
+        # Receive dispatch.  With a core, the NIC hands rx CQEs (with
+        # their in-flight write handle) straight to _rx_fused, which
+        # folds PCIe delivery and the core's per-packet processing delay
+        # into ONE event per packet: a serial dispatcher starting each
+        # packet at max(cqe_arrival, previous_done) and working
+        # packet_cost() seconds.  A core-less queue costs no time per
+        # packet, so a flat notify consumer takes each CQE on arrival.
         self._fused_planned = 0.0   # planned end of the dispatch chain
         self._fused_done = 0.0      # actual end (>= planned under repair)
         self._fused_queue = deque()
-        if self.core is not None and fused_dispatch_ok(self.sim,
-                                                       driver.fabric):
+        if self.core is not None:
             self.rx_cq.fused_rx = self._rx_fused
+        else:
+            _NotifyConsumer(self.sim, self.rx_cq.notify, self.profile_tag,
+                            self._consume)
 
     def _take(self, size: int) -> int:
         """Allocate host memory, remembered for release on close()."""
@@ -150,18 +145,14 @@ class EthQueuePair:
         """Free SQ slots, judged by retired (signalled) completions."""
         return self.sq.entries - (self._pi - self._tx_completed)
 
-    def _tx_retire(self):
-        while True:
-            cqe = yield self.tx_cq.notify.get()
-            if cqe is _POISON:
-                return
-            # Completions are cumulative under selective signalling: a
-            # CQE for index i retires everything up to i.
-            base = self._tx_completed & ~0xFFFF
-            completed = base | cqe.wqe_counter
-            if completed < self._tx_completed:
-                completed += 1 << 16
-            self._tx_completed = completed + 1
+    def _retire_tx(self, cqe) -> None:
+        # Completions are cumulative under selective signalling: a CQE
+        # for index i retires everything up to i (16-bit wrap aware).
+        base = self._tx_completed & ~0xFFFF
+        completed = base | cqe.wqe_counter
+        if completed < self._tx_completed:
+            completed += 1 << 16
+        self._tx_completed = completed + 1
 
     def wait_for_tx_space(self, slots: int = 1, poll: float = 100e-9):
         """Generator: spin (as a PMD would) until the SQ has room."""
@@ -251,38 +242,14 @@ class EthQueuePair:
         )
         self.rq.post(1)
 
-    def _rx_dispatcher(self):
-        driver = self.driver
-        while True:
-            cqe = yield self.rx_cq.notify.get()
-            if cqe is _POISON:
-                return
-            started = self.sim._now
-            if self.core is not None:
-                yield self.sim.timeout(self.core.packet_cost())
-            slot = cqe.wqe_counter % self.rq.entries
-            buffer_addr = self._rx_buffers[slot]
-            data = driver.memory.read_local(
-                buffer_addr - driver.mem_base, cqe.byte_count
-            )
-            self._repost(cqe.wqe_counter)
-            self.stats_rx += 1
-            if cqe.trace_ctx is not None:
-                self._spans.record(cqe.trace_ctx, "host.rx", started,
-                                   self.sim._now)
-            if self.on_receive is not None:
-                self.on_receive(data, cqe)
-            else:
-                self.received.try_put((data, cqe))
-
-    # -- fused receive dispatch (cut-through fabric mode) ------------------
+    # -- receive dispatch --------------------------------------------------
 
     def _rx_fused(self, handle, cqe) -> None:
         """NIC-side CQE issue: plan this packet's dispatch completion.
 
-        The processing cost is drawn here — same per-queue draw order as
-        the generator loop, since CQEs arrive (and were consumed) in
-        issue order on the host's down lane.
+        The processing cost is drawn here — the same per-queue draw
+        order as a dispatcher consuming CQEs on arrival, since CQEs
+        arrive in issue order on the host's down lane.
         """
         cost = self.core.packet_cost()
         planned = max(handle.delivery, self._fused_planned) + cost
@@ -304,27 +271,35 @@ class EthQueuePair:
             entry[4] = True
             return
         sim = self.sim
-        done = max(entry[0].delivery, self._fused_done) + entry[2]
-        if done > sim._now:
-            sim.call_later(done - sim._now, self._rx_fused_fire, entry)
-            return
-        self._commit_fused(entry)
-        # Re-drive any successors whose events fired early and bailed.
-        while queue and queue[0][4]:
-            head = queue[0]
-            done = max(head[0].delivery, self._fused_done) + head[2]
+        while True:
+            # The dispatcher takes a packet up at max(arrival, previous
+            # done) and works its cost.
+            handle = entry[0]
+            started = handle.delivery
+            if self._fused_done > started:
+                started = self._fused_done
+            done = started + entry[2]
             if done > sim._now:
-                sim.call_later(done - sim._now, self._rx_fused_fire, head)
+                sim.call_later(done - sim._now, self._rx_fused_fire, entry)
                 return
-            self._commit_fused(head)
+            entry[3] = True
+            queue.popleft()
+            self._fused_done = sim._now
+            self._consume(entry[1], started, handle)
+            # Re-drive any successor whose event fired early and bailed.
+            if not queue or not queue[0][4]:
+                return
+            entry = queue[0]
 
-    def _commit_fused(self, entry) -> None:
-        """The generator loop's post-timeout body, in callback form."""
-        handle, cqe = entry[0], entry[1]
-        entry[3] = True
-        self._fused_queue.popleft()
-        self._fused_done = self.sim._now
-        handle.commit()
+    def _consume(self, cqe, started: Optional[float] = None,
+                 handle=None) -> None:
+        """Land the CQE write (when deferred), read the packet, recycle
+        its buffer and hand it to the app.  ``started`` is when the
+        dispatcher took the packet up (default: now)."""
+        if handle is not None:
+            handle.commit()
+        if started is None:
+            started = self.sim._now
         driver = self.driver
         slot = cqe.wqe_counter % self.rq.entries
         buffer_addr = self._rx_buffers[slot]
@@ -333,29 +308,32 @@ class EthQueuePair:
         )
         self._repost(cqe.wqe_counter)
         self.stats_rx += 1
+        if cqe.trace_ctx is not None:
+            self._spans.record(cqe.trace_ctx, "host.rx", started,
+                               self.sim._now)
         if self.on_receive is not None:
             self.on_receive(data, cqe)
         else:
             self.received.try_put((data, cqe))
 
 
-class _TxRetireWorker:
-    """Flat form of :meth:`EthQueuePair._tx_retire` (fused fast path).
+class _NotifyConsumer:
+    """A consumer of a CQ's notify store that never sleeps.
 
-    The retire loop never sleeps — it only waits on the tx CQ notify
-    store and updates the cumulative completion counter — so in
-    cut-through mode it runs as a plain callback chain.  Arming is
-    deferred through a zero-delay scheduled step to mirror the
-    generator spawn exactly (same scheduler pushes, same lazy start).
+    ``consume(cqe)`` only does bookkeeping, so the loop runs as a plain
+    callback chain: the getter's callback resumes it on arrival.
+    Arming is deferred through a zero-delay step, so the consumer
+    starts with the simulation.
     """
 
-    __slots__ = ("qp", "notify", "profile_tag")
+    __slots__ = ("notify", "profile_tag", "consume")
 
-    def __init__(self, qp: "EthQueuePair"):
-        self.qp = qp
-        self.notify = qp.tx_cq.notify
-        self.profile_tag = f"ethqp{qp.sq.qpn}.txc"
-        qp.sim.schedule(0.0, self._next)
+    def __init__(self, sim: Simulator, notify: Store, profile_tag: str,
+                 consume: Callable):
+        self.notify = notify
+        self.profile_tag = profile_tag
+        self.consume = consume
+        sim.schedule(0.0, self._next)
 
     def _next(self) -> None:
         notify = self.notify
@@ -366,24 +344,14 @@ class _TxRetireWorker:
                 return
             if cqe is _POISON:
                 return
-            self._retire(cqe)
+            self.consume(cqe)
 
     def _on_cqe(self, event) -> None:
         cqe = event.value
         if cqe is _POISON:
             return
-        self._retire(cqe)
+        self.consume(cqe)
         self._next()
-
-    def _retire(self, cqe) -> None:
-        # Completions are cumulative under selective signalling: a CQE
-        # for index i retires everything up to i (16-bit wrap aware).
-        qp = self.qp
-        base = qp._tx_completed & ~0xFFFF
-        completed = base | cqe.wqe_counter
-        if completed < qp._tx_completed:
-            completed += 1 << 16
-        qp._tx_completed = completed + 1
 
 
 class RcEndpoint:

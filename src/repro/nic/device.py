@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 from ..net import Bth, Packet
 from ..net.parse import parse_frame
 from ..pcie import PcieEndpoint, PcieError, PcieFabric, PcieLinkConfig
-from ..sim import Simulator, Store, fused_dispatch_ok
+from ..sim import Simulator, Store
 # The NIC BAR's internal layout lives with the other physical address
 # constants in the overlap-checked address map.
 from ..topology.addrmap import (
@@ -90,7 +90,7 @@ class _RxItem:
     """One unit of work for a receive-queue worker."""
 
     __slots__ = ("data", "flags", "context_id", "qpn", "rss_hash",
-                 "trace_ctx", "enqueued")
+                 "trace_ctx", "enqueued", "started")
 
     def __init__(self, data: bytes, flags: int, context_id: int, qpn: int,
                  rss_hash: int = 0, trace_ctx=None, enqueued: float = 0.0):
@@ -101,6 +101,7 @@ class _RxItem:
         self.rss_hash = rss_hash
         self.trace_ctx = trace_ctx
         self.enqueued = enqueued
+        self.started = enqueued   # when the queue's worker took it up
 
 
 class Nic(PcieEndpoint):
@@ -137,8 +138,8 @@ class Nic(PcieEndpoint):
         self.cqs: Dict[int, CompletionQueue] = {}
         self._qp_by_sqn: Dict[int, RcQp] = {}
         self._rx_inbox: Dict[int, Store] = {}
-        # Flattened per-queue workers (fast-path gate open at creation);
-        # keyed like _rx_inbox / sqs so teardown can find them.
+        # Per-queue continuation workers, keyed like _rx_inbox / sqs so
+        # teardown can find them.
         self._rx_flat: Dict[int, "_RqFlatWorker"] = {}
         self._tx_flat: Dict[int, "_SqFlatPipeline"] = {}
         self._cached_rx_desc: Dict[Tuple[int, int], RxDesc] = {}
@@ -201,16 +202,7 @@ class Nic(PcieEndpoint):
         sq.meter = meter
         self.sqs[sq.qpn] = sq
         self._next_qpn += 1
-        if (fused_dispatch_ok(self.sim, self.fabric)
-                and transport != SendQueue.TRANSPORT_RC
-                and meter is None):
-            # Flat two-stage pipeline (fetch + transmit) — the RC
-            # transport and metered (shaper-paced) queues keep the
-            # generator pair, as do traced/span runs via the gate.
-            self._tx_flat[sq.qpn] = _SqFlatPipeline(self, sq)
-        else:
-            self.sim.spawn(self._sq_worker(sq),
-                           name=f"{self.name}.sq{sq.qpn}")
+        self._tx_flat[sq.qpn] = _SqFlatPipeline(self, sq)
         return sq
 
     def create_rq(self, ring_addr: int, entries: int, cq: CompletionQueue,
@@ -236,15 +228,7 @@ class Nic(PcieEndpoint):
         inbox = Store(self.sim, capacity=self.config.rx_inbox_depth,
                       name=f"{self.name}.rq{rq.rqn}.inbox")
         self._rx_inbox[rq.rqn] = inbox
-        if fused_dispatch_ok(self.sim, self.fabric):
-            # Flat continuation worker: same event structure as the
-            # generator loop, no Process machinery on the per-packet
-            # path.  The gate's inputs are fixed for a simulation's
-            # lifetime, so choosing at creation time is safe.
-            self._rx_flat[rq.rqn] = _RqFlatWorker(self, rq, inbox)
-        else:
-            self.sim.spawn(self._rq_worker(rq, inbox),
-                           name=f"{self.name}.rq{rq.rqn}")
+        self._rx_flat[rq.rqn] = _RqFlatWorker(self, rq, inbox)
 
     def create_rc_qp(self, ring_addr: int, entries: int,
                      cq: CompletionQueue, rq: ReceiveQueue, vport: int,
@@ -374,237 +358,14 @@ class Nic(PcieEndpoint):
     # Transmit path
     # ------------------------------------------------------------------
 
-    def _sq_worker(self, sq: SendQueue):
-        """Fetch stage: pull WQEs (batched) and launch data DMA reads.
-
-        Data reads for consecutive WQEs are issued back-to-back and
-        overlap; the companion ``_sq_tx_stage`` consumes them in order, so
-        PCIe round-trip latency is hidden behind the pipeline — the way
-        real NIC DMA engines keep many transactions in flight.
-        """
-        fabric = self.fabric
-        window = Store(self.sim, capacity=self.config.dma_window,
-                       name=f"{self.name}.sq{sq.qpn}.pipe")
-        self.sim.spawn(self._sq_tx_stage(sq, window),
-                       name=f"{self.name}.sq{sq.qpn}.tx")
-        wqe_batch: Dict[int, TxWqe] = {}
-        while True:
-            rung = yield sq.doorbell.get()
-            if rung is _POISON or sq.destroyed:
-                # Propagate teardown to the companion tx stage and exit.
-                yield window.put(_POISON)
-                return
-            while sq.ci < sq.pi:
-                index = sq.ci
-                sq.ci = index + 1
-                wqe = sq.mmio_wqes.pop(index & 0xFFFF, None)
-                if wqe is None:
-                    wqe = wqe_batch.pop(index, None)
-                if wqe is None:
-                    # Fetch a contiguous batch (bounded by the ring edge).
-                    slot = index % sq.entries
-                    burst = min(self.config.wqe_fetch_batch, sq.pi - index,
-                                sq.entries - slot)
-                    fetch_started = self.sim._now
-                    raw = yield fabric.read(self, sq.slot_addr(index),
-                                            burst * WQE_SIZE)
-                    sq.stats_wqe_fetches += burst
-                    spans = self._spans
-                    for i, fetched in enumerate(
-                            TxWqe.unpack_many(raw, burst)):
-                        if spans.enabled:
-                            # Ring-mode WQEs lose their context at
-                            # pack time; the producer stashed it under
-                            # the (nic, qpn, index) it rang for.
-                            fetched.trace_ctx = spans.claim(
-                                ("wqe", self.name, sq.qpn, index + i))
-                            spans.record(fetched.trace_ctx,
-                                         "pcie.wqe_fetch",
-                                         fetch_started, self.sim._now)
-                        wqe_batch[index + i] = fetched
-                    wqe = wqe_batch.pop(index)
-                if wqe.byte_count > 0:
-                    data_event = fabric.read(self, wqe.buffer_addr,
-                                             wqe.byte_count,
-                                             trace_ctx=wqe.trace_ctx,
-                                             trace_stage="pcie.dma_read")
-                else:
-                    data_event = None
-                # Blocks when the pipeline window is full.
-                yield window.put((index, wqe, data_event, self.sim._now))
-
-    def _sq_tx_stage(self, sq: SendQueue, window: Store):
-        """Transmit stage: consume fetched WQEs in order and send.
-
-        Hot path (cut-through fabric, tracing off, Ethernet transport,
-        no shaper on the queue): the per-WQE pipeline-occupancy timeout
-        is folded into the transmit itself.  Steering resolves when the
-        DMA data lands; the wire reservation and the signaled CQE are
-        keyed at the stage's *virtual* completion instant ``stage_free``
-        — the exact time the reference generator would have acted — so a
-        WQE costs no dedicated pacing event.  Pulling the next WQE early
-        must not release a backpressured fetch stage ahead of schedule,
-        so when the window sits at (or within one put of) capacity the
-        stage waits out the reference pacing before re-polling.  Every
-        gated-out case realigns to ``stage_free`` and runs the reference
-        body unchanged.
-        """
-        tracer = self._tracer
-        spans = self._spans
-        prof = self._prof
-        shaper_tag = f"{self.name}.shaper"
-        stage_tag = f"{self.name}.sq{sq.qpn}.tx"
-        sim = self.sim
-        delay_s = self.config.processing_delay
-        fuse_ok = (fused_dispatch_ok(sim, self.fabric)
-                   and sq.transport != SendQueue.TRANSPORT_RC)
-        stage_free = 0.0
-        while True:
-            # Popping ahead of the reference schedule must not free a
-            # window slot early (the fetch stage would unstall ahead of
-            # time): keep the slot virtually occupied until the instant
-            # the reference stage would have popped.
-            held = bool(window._items) and stage_free > sim._now
-            if held:
-                window.hold_slot(stage_free)
-            item = yield window.get()
-            if not held and sim._now < stage_free:
-                # Handed over while get-blocked, before the reference
-                # would even be polling: the item would have sat in the
-                # window (occupying its slot) until then.
-                window.hold_slot(stage_free)
-            if item is _POISON:
-                return
-            index, wqe, data_event, enqueued = item
-            started = self.sim._now
-            ctx = wqe.trace_ctx
-            if ctx is not None:
-                spans.record(ctx, "nic.tx", enqueued, started,
-                             kind="queue")
-            data = (yield data_event) if data_event is not None else b""
-            meter = getattr(sq, "meter", None)
-            if (fuse_ok and ctx is None
-                    and (meter is None
-                         or not self.shaper.has_limiter(meter))):
-                sq.stats_wqes += 1
-                self._ctr_tx_wqes.inc()
-                self._ctr_tx_bytes.inc(len(data))
-                now = sim._now
-                done = (now if now > stage_free else stage_free) + delay_s
-                stage_free = done
-                resolved = self._resolve_eth(sq, wqe, data)
-                eswitch = self.eswitch
-                if all(d.kind == Disposition.UPLINK for d, _v in resolved):
-                    for d, vport in resolved:
-                        eswitch.apply_at(d, vport, done)
-                    if wqe.signaled:
-                        completion = Cqe(CQE_SEND_COMPLETION, sq.qpn,
-                                         index, wqe.byte_count)
-                        self._post_cqe_at(sq.cq, completion, done)
-                    continue
-                # Local dispositions (loopback, queue delivery, drops)
-                # can race receive-side state at the completion instant:
-                # realign and apply synchronously, like the reference.
-                if done > sim._now:
-                    yield sim.timeout(done - sim._now)
-                for d, vport in resolved:
-                    eswitch._apply_fdb(d, from_vport=vport)
-                if wqe.signaled:
-                    completion = Cqe(CQE_SEND_COMPLETION, sq.qpn, index,
-                                     wqe.byte_count)
-                    self._post_cqe(sq.cq, completion)
-                continue
-            # Gated out: a preceding fused WQE may have claimed this one
-            # early, so realign to the reference pacing before running
-            # the reference body unchanged.
-            pause = stage_free - self.sim._now
-            if pause > 0:
-                yield self.sim.timeout(pause)
-            service_started = self.sim._now
-            yield self.sim.timeout(self.config.processing_delay)
-            sq.stats_wqes += 1
-            self._ctr_tx_wqes.inc()
-            self._ctr_tx_bytes.inc(len(data))
-            meter = getattr(sq, "meter", None)
-            if meter is not None and self.shaper.has_limiter(meter):
-                delay = self.shaper.delay_for(meter, len(data) * 8)
-                if delay > 0:
-                    if ctx is not None:
-                        spans.record(ctx, "nic.shaper", self.sim._now,
-                                     self.sim._now + delay, kind="queue")
-                    if prof is None:
-                        yield self.sim.timeout(delay)
-                    else:
-                        # Tag the pacing timeout as shaper work, not
-                        # queue work: the push happens at creation, so
-                        # the scoped tag must wrap the call, not the
-                        # yield.
-                        prof.current_tag = shaper_tag
-                        pause = self.sim.timeout(delay)
-                        prof.current_tag = stage_tag
-                        yield pause
-                self.shaper.consume(meter, len(data) * 8)
-            if sq.transport == SendQueue.TRANSPORT_RC:
-                qp = self._qp_by_sqn.get(sq.qpn)
-                if qp is None or qp.state != RcQp.READY:
-                    # The QP dropped to ERR (or is being torn down):
-                    # queued WQEs are flushed, not sent (verbs flush
-                    # semantics) — software recovers via the command
-                    # channel.
-                    sq.stats_flushed += 1
-                else:
-                    yield from self.rdma.send_message(
-                        qp, wqe, data, remote_addr=wqe.remote_addr,
-                        rkey=wqe.rkey)
-                    # Send CQE arrives later, on the remote ack.
-            else:
-                self._transmit_eth(sq, wqe, data)
-                if wqe.signaled:
-                    completion = Cqe(
-                        CQE_SEND_COMPLETION, sq.qpn, index,
-                        wqe.byte_count,
-                    )
-                    completion.trace_ctx = ctx
-                    self._post_cqe(sq.cq, completion)
-            if ctx is not None:
-                spans.record(ctx, "nic.tx", service_started, self.sim._now)
-            if tracer.enabled:
-                tracer.complete(f"nic.{self.name}", f"sq{sq.qpn}", "wqe",
-                                started, self.sim._now,
-                                {"index": index, "bytes": wqe.byte_count})
-            stage_free = self.sim._now
-
-    def _transmit_eth(self, sq: SendQueue, wqe: TxWqe, data: bytes) -> None:
-        packet = parse_frame(data)
-        if wqe.flags & (WQE_FLAG_CSUM_L3 | WQE_FLAG_CSUM_L4):
-            self.checksum.fill(packet, l3=bool(wqe.flags & WQE_FLAG_CSUM_L3),
-                               l4=bool(wqe.flags & WQE_FLAG_CSUM_L4))
-        if wqe.flags & WQE_FLAG_LSO and wqe.mss:
-            packets = self.lso.segment(packet, wqe.mss)
-        else:
-            packets = [packet]
-        resume_id = wqe.context_id >> 16
-        for packet in packets:
-            packet.meta["context_id"] = wqe.context_id & 0xFFFF
-            if wqe.trace_ctx is not None:
-                packet.meta["trace_ctx"] = wqe.trace_ctx
-            if resume_id and resume_id in self._resume_tables:
-                # FLD-E return path: resume steering mid-pipeline (§5.3).
-                table = self._resume_tables[resume_id]
-                disposition = self.steering.process(packet, table)
-                self.eswitch._apply_fdb(disposition, from_vport=None)
-            else:
-                self.eswitch.egress_from_vport(sq.vport, packet)
-
     def _resolve_eth(self, sq: SendQueue, wqe: TxWqe, data: bytes):
-        """The steering half of :meth:`_transmit_eth`: parse, offload,
-        segment and classify, returning ``[(disposition, vport), ...]``
-        without applying anything.
+        """Steer one Ethernet WQE: parse, offload, segment and classify,
+        returning ``[(disposition, vport), ...]`` without applying
+        anything (the WQE's trace context rides each packet's meta).
 
         Rule lookups take no virtual time and only bump counters, so a
         fused caller can resolve at data-ready time and defer the effect
-        to the pipeline's completion instant.  Callers gate out traced
-        WQEs, so the trace_ctx stamping of the legacy path is skipped.
+        to the pipeline's completion instant.
         """
         packet = parse_frame(data)
         if wqe.flags & (WQE_FLAG_CSUM_L3 | WQE_FLAG_CSUM_L4):
@@ -615,9 +376,12 @@ class Nic(PcieEndpoint):
         else:
             packets = [packet]
         resume_id = wqe.context_id >> 16
+        ctx = wqe.trace_ctx
         resolved = []
         for packet in packets:
             packet.meta["context_id"] = wqe.context_id & 0xFFFF
+            if ctx is not None:
+                packet.meta["trace_ctx"] = ctx
             if resume_id and resume_id in self._resume_tables:
                 # FLD-E return path: resume steering mid-pipeline (§5.3).
                 table = self._resume_tables[resume_id]
@@ -670,97 +434,6 @@ class Nic(PcieEndpoint):
                 return resume_id
         return self.register_resume_table(table_name)
 
-    def _rq_worker(self, rq: ReceiveQueue, inbox: Store):
-        fabric = self.fabric
-        tracer = self._tracer
-        spans = self._spans
-        while True:
-            item = yield inbox.get()
-            if item is _POISON or rq.destroyed:
-                return
-            started = self.sim._now
-            ctx = item.trace_ctx
-            if ctx is not None:
-                spans.record(ctx, "nic.rx", item.enqueued, started,
-                             kind="queue")
-            yield self.sim.timeout(self.config.processing_delay)
-            if isinstance(rq, MultiPacketReceiveQueue):
-                placement = rq.place(len(item.data))
-                if placement is None:
-                    self.stats_rx_dropped_no_desc += 1
-                    self._ctr_drop_no_desc.inc()
-                    continue
-                key = (rq.rqn, placement["desc_index"] % rq.entries)
-                if placement["stride_index"] == 0 or key not in self._cached_rx_desc:
-                    raw = yield fabric.read(
-                        self, rq.slot_addr(placement["desc_index"]),
-                        RX_DESC_SIZE,
-                    )
-                    self._cached_rx_desc[key] = RxDesc.unpack(raw)
-                desc = self._cached_rx_desc[key]
-                address = (desc.buffer_addr
-                           + placement["stride_index"] * rq.stride_size)
-                wqe_counter = placement["desc_index"]
-                stride_index = placement["stride_index"]
-            else:
-                if rq.available == 0:
-                    rq.stats_drops_no_desc += 1
-                    self.stats_rx_dropped_no_desc += 1
-                    self._ctr_drop_no_desc.inc()
-                    continue
-                index = rq.ci
-                rq.ci += 1
-                rq.stats_packets += 1
-                desc = yield from self._fetch_rx_desc(rq, index)
-                if len(item.data) > desc.byte_count:
-                    self.stats_rx_dropped_no_desc += 1
-                    self._ctr_drop_no_desc.inc()
-                    continue
-                address = desc.buffer_addr
-                wqe_counter = index
-                stride_index = 0
-            self._ctr_rx_packets.inc()
-            self._ctr_rx_bytes.inc(len(item.data))
-            if ctx is not None:
-                spans.record(ctx, "nic.rx", started, self.sim._now)
-            write_done = fabric.post_write(self, address, item.data,
-                                           trace_ctx=ctx,
-                                           trace_stage="pcie.dma_write")
-            if tracer.enabled:
-                tracer.complete(f"nic.{self.name}", f"rq{rq.rqn}",
-                                "rx_packet", started, self.sim._now,
-                                {"bytes": len(item.data)})
-            cqe = Cqe(
-                CQE_RECV_COMPLETION, item.qpn, wqe_counter, len(item.data),
-                flags=item.flags, rss_hash=item.rss_hash,
-                flow_tag=item.context_id, stride_index=stride_index,
-            )
-            cqe.trace_ctx = ctx
-            # The CQE is ordered after the data write (PCIe posted-write
-            # ordering) but the worker moves on — writes pipeline.
-            write_done.add_callback(
-                lambda _e, cq=rq.cq, entry=cqe: self._post_cqe(cq, entry)
-            )
-
-    def _fetch_rx_desc(self, rq: ReceiveQueue, index: int):
-        """Return the descriptor at ``index``, prefetching a batch.
-
-        Real NICs amortize descriptor DMA by reading cachelines of
-        descriptors at once; we cache a batch and refill on miss.
-        """
-        key = (rq.rqn, index)
-        cached = self._cached_rx_desc.pop(key, None)
-        if cached is not None:
-            return cached
-        slot = index % rq.entries
-        burst = max(1, min(self.config.rx_desc_batch, rq.pi - index,
-                           rq.entries - slot))
-        raw = yield self.fabric.read(self, rq.slot_addr(index),
-                                     burst * RX_DESC_SIZE)
-        for i, desc in enumerate(RxDesc.unpack_many(raw, burst)):
-            self._cached_rx_desc[(rq.rqn, index + i)] = desc
-        return self._cached_rx_desc.pop(key)
-
     # ------------------------------------------------------------------
     # RDMA engine callbacks
     # ------------------------------------------------------------------
@@ -779,6 +452,7 @@ class Nic(PcieEndpoint):
         inbox = self._rx_inbox.get(qp.rq.rqn)
         if inbox is None or not inbox.try_put(item):
             self.stats_rx_dropped_inbox += 1
+            self._ctr_drop_inbox.inc()
 
     def _rdma_qp_error(self, qp: RcQp, syndrome: int) -> None:
         """A QP dropped to ERR: post the error CQE software recovers from."""
@@ -798,29 +472,27 @@ class Nic(PcieEndpoint):
     # ------------------------------------------------------------------
 
     def _post_cqe(self, cq: CompletionQueue, cqe: Cqe) -> None:
+        """Write ``cqe`` to its ring; the consumer sees it on arrival.
+
+        A CQ with a fused consumer (``cq.fused_rx``) takes the write
+        as a deferred handle and folds delivery into its own
+        continuation; every other CQ is notified when the write lands.
+        """
         self._ctr_cqes.inc()
-        fused = cq.fused_rx
-        if fused is not None and cqe.trace_ctx is None:
-            slot = cq.next_slot()
-            handle = self.fabric.post_write_deferred(self, slot, cqe.pack())
-            if handle is not None:
-                fused(handle, cqe)
-                return
-            # Deferred issue unavailable (per-hop mode, oversized CQE):
-            # plain posted write — the slot is already claimed.
-            done = self.fabric.post_write(self, slot, cqe.pack(),
-                                          trace_ctx=None,
-                                          trace_stage="pcie.cqe_write")
-            done.add_callback(lambda _event: cq.notify.try_put(cqe))
-            return
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
                            f"cqe:{cqe.opcode}", self.sim._now)
-        done = self.fabric.post_write(self, cq.next_slot(), cqe.pack(),
-                                      trace_ctx=cqe.trace_ctx,
-                                      trace_stage="pcie.cqe_write")
-        done.add_callback(lambda _event: cq.notify.try_put(cqe))
+        fused = cq.fused_rx
+        if fused is not None:
+            fused(self.fabric.post_write_deferred(
+                self, cq.next_slot(), cqe.pack(), trace_ctx=cqe.trace_ctx,
+                trace_stage="pcie.cqe_write"), cqe)
+            return
+        self.fabric.post_write(self, cq.next_slot(), cqe.pack(),
+                               trace_ctx=cqe.trace_ctx,
+                               trace_stage="pcie.cqe_write",
+                               on_done=partial(cq.notify.try_put, cqe))
 
     def _post_cqe_at(self, cq: CompletionQueue, cqe: Cqe,
                      when: float) -> None:
@@ -828,14 +500,19 @@ class Nic(PcieEndpoint):
 
         The write TLP arbitrates for the PCIe lane as if issued at
         ``when`` — same delivery instant, same notify callback as
-        :meth:`_post_cqe`, without the pipeline-occupancy event that
-        legacy posting rides on.  Callers gate out tracing and fused-rx
-        CQs (send completions never target one).
+        :meth:`_post_cqe` issued at ``when``, without the
+        pipeline-occupancy event that posting would ride on.  Send
+        completions never target a fused-rx CQ.
         """
         self._ctr_cqes.inc()
-        done = self.fabric.post_write_at(self, cq.next_slot(), cqe.pack(),
-                                         when)
-        done.add_callback(lambda _event: cq.notify.try_put(cqe))
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
+                           f"cqe:{cqe.opcode}", when)
+        self.fabric.post_write_at(self, cq.next_slot(), cqe.pack(), when,
+                                  partial(cq.notify.try_put, cqe),
+                                  trace_ctx=cqe.trace_ctx,
+                                  trace_stage="pcie.cqe_write")
 
     # ------------------------------------------------------------------
     # Telemetry probes
@@ -882,25 +559,19 @@ class _DataSlot:
 
 
 class _RqFlatWorker:
-    """Flat continuation form of :meth:`Nic._rq_worker`.
+    """A receive queue's worker, written as flat continuations.
 
-    Installed instead of the generator when the shared fast-path gate
-    (:func:`repro.sim.fastpath.fused_dispatch_ok`) is open at queue
-    creation: tracing and spans are off — so no item ever carries a
-    trace context — and the fabric runs cut-through.  The event
-    structure is exactly the reference loop's, written as continuations:
+    Per packet:
 
-    * one processing-delay event per packet, owner-tagged with the
-      queue's stage name (the string the spawned process carried);
-    * descriptor DMA reads resumed by their completion callbacks, at
-      the same instant the generator would have resumed;
+    * one processing-delay event, owner-tagged with the queue's stage
+      name (``<nic>.rq<n>``);
+    * descriptor DMA reads resumed by their completion callbacks;
     * the data write's CQE chained through the fabric's ``on_done``
-      callback instead of a completion Event.
+      callback.
 
-    What disappears is the Process trampoline, the per-iteration
-    ``Store.get`` Event and the per-write completion Event — pure
-    dispatch overhead; push counts and instants are unchanged, so the
-    (time, seq) schedule is bit-identical.
+    A traced packet records its ``nic.rx`` queue wait and service spans
+    and rides its context on the data write and the CQE; the Chrome
+    tracer gets one ``rx_packet`` record.  Neither changes a push.
     """
 
     __slots__ = ("nic", "rq", "inbox", "profile_tag", "_mprq", "_pend")
@@ -909,19 +580,17 @@ class _RqFlatWorker:
         self.nic = nic
         self.rq = rq
         self.inbox = inbox
-        # Events this worker schedules attribute to the stage the
-        # spawned generator's process name did.
         self.profile_tag = f"{nic.name}.rq{rq.rqn}"
         self._mprq = isinstance(rq, MultiPacketReceiveQueue)
         self._pend = None
-        # Arm via a zero-delay step, exactly like the spawned generator's
-        # first dispatch: the worker must not observe traffic (or unit
-        # tests poking handle_write) before the simulation runs.
+        # Arm via a zero-delay step: the worker must not observe
+        # traffic (or unit tests poking handle_write) before the
+        # simulation runs.
         nic.sim.schedule(0.0, self._next)
 
     def _next(self) -> None:
         """Pull the next inbox item, blocking (via a getter callback)
-        when the inbox is empty — the flat form of the loop head."""
+        when the inbox is empty — the loop head."""
         item = self.inbox.try_get()
         if item is None:
             self.inbox.get().add_callback(self._on_item)
@@ -934,8 +603,13 @@ class _RqFlatWorker:
     def _begin(self, item) -> None:
         if item is _POISON or self.rq.destroyed:
             return
-        self.nic.sim.call_later(self.nic.config.processing_delay,
-                                self._service, item)
+        nic = self.nic
+        now = nic.sim._now
+        item.started = now
+        if item.trace_ctx is not None:
+            nic._spans.record(item.trace_ctx, "nic.rx", item.enqueued, now,
+                              kind="queue")
+        nic.sim.call_later(nic.config.processing_delay, self._service, item)
 
     def _service(self, item: _RxItem) -> None:
         """The post-delay body: place the packet, fetch its descriptor
@@ -971,6 +645,8 @@ class _RqFlatWorker:
         rq.stats_packets += 1
         desc = nic._cached_rx_desc.pop((rq.rqn, index), None)
         if desc is None:
+            # Prefetch a batch of descriptors: real NICs amortize the
+            # descriptor DMA over a cacheline's worth.
             slot = index % rq.entries
             burst = max(1, min(nic.config.rx_desc_batch, rq.pi - index,
                                rq.entries - slot))
@@ -1023,44 +699,60 @@ class _RqFlatWorker:
             flags=item.flags, rss_hash=item.rss_hash,
             flow_tag=item.context_id, stride_index=stride_index,
         )
+        ctx = item.trace_ctx
+        if ctx is not None:
+            cqe.trace_ctx = ctx
+            nic._spans.record(ctx, "nic.rx", item.started, nic.sim._now)
         # The CQE is ordered after the data write (PCIe posted-write
         # ordering); on_done fires at the write's delivery instant.
-        nic.fabric.post_write(nic, address, item.data,
+        nic.fabric.post_write(nic, address, item.data, trace_ctx=ctx,
                               trace_stage="pcie.dma_write",
                               on_done=partial(nic._post_cqe, self.rq.cq, cqe))
+        tracer = nic._tracer
+        if tracer.enabled:
+            tracer.complete(f"nic.{nic.name}", f"rq{self.rq.rqn}",
+                            "rx_packet", item.started, nic.sim._now,
+                            {"bytes": len(item.data)})
         self._next()
 
 
 class _SqFlatPipeline:
-    """Flat continuation form of the :meth:`Nic._sq_worker` /
-    :meth:`Nic._sq_tx_stage` generator pair.
+    """A send queue's two-stage pipeline (fetch + transmit), written as
+    flat continuations.
 
-    Installed at queue creation when the shared fast-path gate is open
-    AND the queue can never leave the fused branch: Ethernet transport
-    and no meter (a metered queue may pace through the shaper, which
-    the generator body handles).  Under those conditions every WQE
-    takes `_sq_tx_stage`'s fused arm, so the whole pipeline reduces to
-    continuations:
+    * The fetch stage drains doorbells iteratively, pulling WQEs
+      (batched DMA reads for ring-mode queues) and launching each data
+      DMA read back-to-back, so PCIe round trips overlap.  It pauses
+      only on a WQE fetch or a full window, resumed by the read's /
+      put's completion callback.
+    * The transmit stage pulls the window in order and waits for the
+      data DMA via its callback.  Then each WQE takes one of two arms,
+      chosen from the queue's state:
 
-    * the fetch stage drains doorbells iteratively, pausing only on a
-      batched WQE fetch or a full window (resumed by the read's /
-      put's completion callback at the reference instants);
-    * the transmit stage pulls in order, waits for the data DMA via
-      its event callback, and keys wire reservations and CQEs at the
-      virtual completion instant ``stage_free`` exactly as the fused
-      generator arm does — including the window hold dance that keeps
-      backpressure timing faithful.
+      - *fused* (Ethernet transport, no active limiter on the queue's
+        meter): steering resolves when the data lands; wire
+        reservations and the signaled CQE are keyed at the stage's
+        virtual completion instant ``stage_free`` (the reference
+        schedule), so a WQE costs no pacing event.  Popping the next
+        WQE early must not release a backpressured fetch stage ahead of
+        schedule, so the window slot stays held until ``stage_free``.
+      - *reference* (RC transport, or a live limiter): the stage
+        realigns to ``stage_free``, occupies the processing delay,
+        paces through the shaper and then transmits (segment by segment
+        on RC) — each wait one ``call_later`` continuation.
+
+    Both arms record the same spans (``nic.tx`` queue wait and service,
+    ``nic.shaper``) and Chrome-tracer ``wqe`` records, at the instants
+    the reference schedule defines; recording never adds a push.
 
     The window Store carries the fetch stage's profiler tag so
-    hold-expiry wakes it schedules attribute exactly as they did when
-    the blocking ``put`` ran inside the fetch process; the pipeline
-    object itself carries the tx stage's tag for its own deferred
-    continuations.  Push counts and instants are unchanged from the
-    generator pair, so the (time, seq) schedule is bit-identical.
+    hold-expiry wakes it schedules attribute to the fetch stage; the
+    pipeline object itself carries the tx stage's tag for its own
+    deferred continuations.
     """
 
     __slots__ = ("nic", "sq", "window", "profile_tag", "stage_free",
-                 "_wqe_batch", "_fetch_pend", "_tx_pend")
+                 "_rc", "_wqe_batch", "_fetch_pend", "_tx_pend")
 
     def __init__(self, nic: Nic, sq: SendQueue):
         self.nic = nic
@@ -1071,12 +763,13 @@ class _SqFlatPipeline:
         self.window = window
         self.profile_tag = f"{nic.name}.sq{sq.qpn}.tx"
         self.stage_free = 0.0
+        self._rc = sq.transport == SendQueue.TRANSPORT_RC
         self._wqe_batch: Dict[int, TxWqe] = {}
         self._fetch_pend = None
         self._tx_pend = None
-        # Start via a zero-delay step, exactly like the spawned fetch
-        # generator's first dispatch (which in turn spawned the tx
-        # stage before blocking on the doorbell).
+        # Start via a zero-delay step, which arms the transmit stage
+        # with a second one before the fetch stage blocks on the
+        # doorbell.
         nic.sim.schedule(0.0, self._start)
 
     # -- fetch stage ---------------------------------------------------
@@ -1124,7 +817,7 @@ class _SqFlatPipeline:
                 slot = index % sq.entries
                 burst = min(nic.config.wqe_fetch_batch, sq.pi - index,
                             sq.entries - slot)
-                self._fetch_pend = (index, burst)
+                self._fetch_pend = (index, burst, nic.sim._now)
                 nic.fabric.read(
                     nic, sq.slot_addr(index), burst * WQE_SIZE,
                     on_done=self._wqes_ready,
@@ -1135,12 +828,22 @@ class _SqFlatPipeline:
         return True
 
     def _wqes_ready(self, raw) -> None:
-        index, burst = self._fetch_pend
+        index, burst, fetch_started = self._fetch_pend
         self._fetch_pend = None
+        nic = self.nic
         sq = self.sq
         sq.stats_wqe_fetches += burst
         batch = self._wqe_batch
+        spans = nic._spans
         for i, fetched in enumerate(TxWqe.unpack_many(raw, burst)):
+            if spans.enabled:
+                # Ring-mode WQEs lose their context at pack time; the
+                # producer stashed it under the (nic, qpn, index) it
+                # rang for.
+                fetched.trace_ctx = spans.claim(
+                    ("wqe", nic.name, sq.qpn, index + i))
+                spans.record(fetched.trace_ctx, "pcie.wqe_fetch",
+                             fetch_started, nic.sim._now)
             batch[index + i] = fetched
         if self._push(index, batch.pop(index)) and self._drain():
             self._fetch_idle()
@@ -1152,6 +855,8 @@ class _SqFlatPipeline:
         if wqe.byte_count > 0:
             data_event = _DataSlot()
             nic.fabric.read(nic, wqe.buffer_addr, wqe.byte_count,
+                            trace_ctx=wqe.trace_ctx,
+                            trace_stage="pcie.dma_read",
                             on_done=data_event._complete)
         else:
             data_event = None
@@ -1168,8 +873,8 @@ class _SqFlatPipeline:
     # -- transmit stage ------------------------------------------------
 
     def _pull(self) -> None:
-        """Consume window items in order; the flat loop head, with the
-        same slot-hold discipline as the generator stage."""
+        """Consume window items in order — the stage's loop head, with
+        the slot-hold discipline of the fused arm."""
         window = self.window
         sim = self.nic.sim
         while True:
@@ -1198,34 +903,47 @@ class _SqFlatPipeline:
             self._pull()
 
     def _tx_begin(self, item) -> bool:
-        index, wqe, data_event, _enqueued = item
+        index, wqe, data_event, enqueued = item
+        # The instant the reference stage would take the WQE up: never
+        # before the previous WQE's completion.
+        now = self.nic.sim._now
+        started = now if now > self.stage_free else self.stage_free
+        if wqe.trace_ctx is not None:
+            self.nic._spans.record(wqe.trace_ctx, "nic.tx", enqueued,
+                                   started, kind="queue")
         if data_event is None:
-            return self._tx_send(index, wqe, b"")
+            return self._tx_send(index, wqe, b"", started)
         if data_event._fired:
-            return self._tx_send(index, wqe, data_event.value)
-        self._tx_pend = (index, wqe)
+            return self._tx_send(index, wqe, data_event.value, started)
+        self._tx_pend = (index, wqe, started)
         data_event.add_callback(self._data_ready)
         return False
 
     def _data_ready(self, event) -> None:
-        index, wqe = self._tx_pend
+        index, wqe, started = self._tx_pend
         self._tx_pend = None
-        if self._tx_send(index, wqe, event.value):
+        if self._tx_send(index, wqe, event.value, started):
             self._pull()
 
-    def _tx_send(self, index: int, wqe: TxWqe, data: bytes) -> bool:
-        """The fused transmit arm; False when the local-disposition
-        realignment defers completion to a continuation."""
+    def _tx_send(self, index: int, wqe: TxWqe, data: bytes,
+                 started: float) -> bool:
+        """The fused transmit arm; False when the WQE continues in a
+        later event (reference arm, or a local disposition)."""
         nic = self.nic
         sq = self.sq
+        meter = sq.meter
+        if self._rc or (meter is not None
+                        and nic.shaper.has_limiter(meter)):
+            self._ref_begin([index, wqe, data, started, 0.0])
+            return False
         sim = nic.sim
         sq.stats_wqes += 1
         nic._ctr_tx_wqes.inc()
         nic._ctr_tx_bytes.inc(len(data))
         now = sim._now
         stage_free = self.stage_free
-        done = (now if now > stage_free else stage_free) \
-            + nic.config.processing_delay
+        service = now if now > stage_free else stage_free
+        done = service + nic.config.processing_delay
         self.stage_free = done
         resolved = nic._resolve_eth(sq, wqe, data)
         eswitch = nic.eswitch
@@ -1235,12 +953,15 @@ class _SqFlatPipeline:
             if wqe.signaled:
                 completion = Cqe(CQE_SEND_COMPLETION, sq.qpn, index,
                                  wqe.byte_count)
+                completion.trace_ctx = wqe.trace_ctx
                 nic._post_cqe_at(sq.cq, completion, done)
+            if wqe.trace_ctx is not None or nic._tracer.enabled:
+                self._tx_record(index, wqe, started, service, done)
             return True
         # Local dispositions (loopback, queue delivery, drops) can race
         # receive-side state at the completion instant: realign and
         # apply synchronously, like the reference.
-        entry = (resolved, wqe, index)
+        entry = (resolved, wqe, index, started, service)
         if done > now:
             sim.call_later(done - now, self._apply_local_cont, entry)
             return False
@@ -1252,7 +973,7 @@ class _SqFlatPipeline:
         self._pull()
 
     def _apply_local(self, entry) -> None:
-        resolved, wqe, index = entry
+        resolved, wqe, index, started, service = entry
         nic = self.nic
         eswitch = nic.eswitch
         for d, vport in resolved:
@@ -1260,4 +981,111 @@ class _SqFlatPipeline:
         if wqe.signaled:
             completion = Cqe(CQE_SEND_COMPLETION, self.sq.qpn, index,
                              wqe.byte_count)
+            completion.trace_ctx = wqe.trace_ctx
             nic._post_cqe(self.sq.cq, completion)
+        if wqe.trace_ctx is not None or nic._tracer.enabled:
+            self._tx_record(index, wqe, started, service, nic.sim._now)
+
+    def _tx_record(self, index: int, wqe: TxWqe, started: float,
+                   service: float, done: float) -> None:
+        """A WQE's ``nic.tx`` service span and Chrome ``wqe`` record."""
+        nic = self.nic
+        nic._spans.record(wqe.trace_ctx, "nic.tx", service, done)
+        tracer = nic._tracer
+        if tracer.enabled:
+            tracer.complete(f"nic.{nic.name}", f"sq{self.sq.qpn}", "wqe",
+                            started, done,
+                            {"index": index, "bytes": wqe.byte_count})
+
+    # -- reference arm (RC transport, shaped queues) -------------------
+    #
+    # ``entry`` is ``[index, wqe, data, started, service_started]``.
+
+    def _ref_begin(self, entry) -> None:
+        """Realign to the previous WQE's completion, if it lies ahead."""
+        sim = self.nic.sim
+        pause = self.stage_free - sim._now
+        if pause > 0:
+            sim.call_later(pause, self._ref_service, entry)
+            return
+        self._ref_service(entry)
+
+    def _ref_service(self, entry) -> None:
+        nic = self.nic
+        entry[4] = nic.sim._now
+        nic.sim.call_later(nic.config.processing_delay, self._ref_serviced,
+                           entry)
+
+    def _ref_serviced(self, entry) -> None:
+        """Pipeline occupancy elapsed: count the WQE, then pace it
+        through the queue's limiter if one is live."""
+        nic = self.nic
+        sq = self.sq
+        sim = nic.sim
+        bits = len(entry[2]) * 8
+        sq.stats_wqes += 1
+        nic._ctr_tx_wqes.inc()
+        nic._ctr_tx_bytes.inc(len(entry[2]))
+        meter = sq.meter
+        if meter is not None and nic.shaper.has_limiter(meter):
+            delay = nic.shaper.delay_for(meter, bits)
+            if delay > 0:
+                now = sim._now
+                ctx = entry[1].trace_ctx
+                if ctx is not None:
+                    nic._spans.record(ctx, "nic.shaper", now, now + delay,
+                                      kind="queue")
+                prof = nic._prof
+                if prof is None:
+                    sim.call_later(delay, self._ref_shaped, entry)
+                else:
+                    # The pacing wait is shaper work, not queue work: a
+                    # partial carries no owner tag, so the entry takes
+                    # the tag current at the push.
+                    prev = prof.current_tag
+                    prof.current_tag = f"{nic.name}.shaper"
+                    sim.call_later(delay, partial(self._ref_shaped), entry)
+                    prof.current_tag = prev
+                return
+            nic.shaper.consume(meter, bits)
+        self._ref_transmit(entry)
+
+    def _ref_shaped(self, entry) -> None:
+        self.nic.shaper.consume(self.sq.meter, len(entry[2]) * 8)
+        self._ref_transmit(entry)
+
+    def _ref_transmit(self, entry) -> None:
+        index, wqe, data = entry[0], entry[1], entry[2]
+        nic = self.nic
+        sq = self.sq
+        if self._rc:
+            qp = nic._qp_by_sqn.get(sq.qpn)
+            if qp is None or qp.state != RcQp.READY:
+                # The QP dropped to ERR (or is being torn down): queued
+                # WQEs are flushed, not sent (verbs flush semantics) —
+                # software recovers via the command channel.
+                sq.stats_flushed += 1
+            else:
+                # The send CQE arrives later, on the remote ack.
+                nic.rdma.start_message(
+                    qp, wqe, data, remote_addr=wqe.remote_addr,
+                    rkey=wqe.rkey, on_done=partial(self._ref_done, entry))
+                return
+        else:
+            eswitch = nic.eswitch
+            for d, vport in nic._resolve_eth(sq, wqe, data):
+                eswitch._apply_fdb(d, from_vport=vport)
+            if wqe.signaled:
+                completion = Cqe(CQE_SEND_COMPLETION, sq.qpn, index,
+                                 wqe.byte_count)
+                completion.trace_ctx = wqe.trace_ctx
+                nic._post_cqe(sq.cq, completion)
+        self._ref_done(entry)
+
+    def _ref_done(self, entry) -> None:
+        now = self.nic.sim._now
+        wqe = entry[1]
+        if wqe.trace_ctx is not None or self.nic._tracer.enabled:
+            self._tx_record(entry[0], wqe, entry[3], entry[4], now)
+        self.stage_free = now
+        self._pull()

@@ -67,10 +67,12 @@ class EthernetPort:
         were handed over at the future instant ``arrival``.
 
         Used by fused egress stages that resolve a transmit before its
-        pipeline occupancy has elapsed; span stamping is skipped because
-        callers gate the fused path out whenever tracing is on.
+        pipeline occupancy has elapsed; a traced frame's wire span starts
+        at ``arrival``, the instant :meth:`send` would have stamped.
         """
         self.stats_tx_packets += 1
+        if self._spans.enabled and "trace_ctx" in packet.meta:
+            packet.meta["trace_wire_t0"] = arrival
         self.link.send_at(packet, packet.wire_size() * 8, arrival)
 
     def _receive(self, packet: Packet) -> None:

@@ -85,6 +85,26 @@ class _Segment:
         self.span_id = None
 
 
+class _MessageSend:
+    """An RC message in the middle of segmentation."""
+
+    __slots__ = ("qp", "wqe", "chunks", "index", "remote_addr", "rkey",
+                 "total_length", "span_id", "caller_tag", "on_done")
+
+    def __init__(self, qp, wqe, chunks, remote_addr, rkey, total_length,
+                 span_id, caller_tag, on_done):
+        self.qp = qp
+        self.wqe = wqe
+        self.chunks = chunks
+        self.index = 0
+        self.remote_addr = remote_addr
+        self.rkey = rkey
+        self.total_length = total_length
+        self.span_id = span_id
+        self.caller_tag = caller_tag
+        self.on_done = on_done
+
+
 class RcQp:
     """A reliable-connected queue pair's transport state.
 
@@ -311,52 +331,63 @@ class RdmaEngine:
         """Wire header bytes around each segment's payload."""
         return 14 + 20 + 8 + Bth.HEADER_LEN + ICRC_SIZE
 
-    def send_message(self, qp: RcQp, wqe: TxWqe, data: bytes,
-                     remote_addr: int = 0, rkey: int = 0):
-        """Generator: segment and transmit one message.
+    def start_message(self, qp: RcQp, wqe: Optional[TxWqe], data: bytes,
+                      remote_addr: int = 0, rkey: int = 0,
+                      on_done: Optional[Callable[[], None]] = None) -> None:
+        """Segment and transmit one message, one segment per pass.
 
         ``wqe.opcode`` selects SEND or RDMA WRITE; a WRITE carries the
-        (remote VA, rkey) in the first segment's RETH.
+        (remote VA, rkey) in the first segment's RETH.  The first
+        segment leaves now; each pipeline pass is a zero-delay
+        continuation, and ``on_done()`` runs in the pass after the last
+        segment.
         """
         if qp.state != RcQp.READY:
             raise RdmaError(f"QP {qp.qpn} not connected")
-        is_write = wqe is not None and wqe.opcode == OP_RDMA_WRITE
         chunks = [data[i:i + self.mtu] for i in range(0, len(data), self.mtu)]
-        if not chunks:
-            chunks = [b""]
-        total = len(chunks)
         ctx = wqe.trace_ctx if wqe is not None else None
-        rdma_span = self._spans.enter(ctx, "rdma", self.sim.now)
         prof = self._prof
-        caller_tag = prof.current_tag if prof is not None else None
-        for index, chunk in enumerate(chunks):
+        send = _MessageSend(
+            qp, wqe, chunks or [b""], remote_addr, rkey, len(data),
+            self._spans.enter(ctx, "rdma", self.sim.now),
+            prof.current_tag if prof is not None else None, on_done)
+        self._next_segment(send)
+
+    def _next_segment(self, send: "_MessageSend") -> None:
+        prof = self._prof
+        chunks = send.chunks
+        index = send.index
+        if index == len(chunks):
             if prof is not None:
-                # Re-established every pass: each resume of the driving
-                # SQ process restores *its* tag, and the per-segment
-                # pipeline timeout below belongs to the rdma engine.
-                prof.current_tag = self.profile_tag
-            first, last = index == 0, index == total - 1
-            frame = self._build_frame(
-                qp, chunk, first, last, wqe, is_write=is_write,
-                remote_addr=remote_addr, rkey=rkey,
-                total_length=len(data),
-            )
-            segment = _Segment(frame, wqe, last, self.sim.now)
-            if last:
-                segment.span_id = rdma_span
-            qp.outstanding[qp.next_psn] = segment
-            qp.next_psn = (qp.next_psn + 1) & 0xFFFFFF
-            qp.stats_sent_segments += 1
-            self._ctr_segments_sent.inc()
-            self._egress_frame(qp, frame)
-            if len(qp.outstanding) == 1:
-                self._arm_retransmit_timer(qp)
-            yield self.sim.timeout(0)  # pipeline one segment per pass
+                # Hand the tag back to the caller's stage.
+                prof.current_tag = send.caller_tag
+            if send.on_done is not None:
+                send.on_done()
+            return
         if prof is not None:
-            # Hand the tag back to the caller's stage (valid because the
-            # saved value is the driving process's own tag, which every
-            # resume re-establishes).
-            prof.current_tag = caller_tag
+            # The segment's pipeline pass belongs to the rdma engine.
+            prof.current_tag = self.profile_tag
+        qp = send.qp
+        wqe = send.wqe
+        last = index == len(chunks) - 1
+        frame = self._build_frame(
+            qp, chunks[index], index == 0, last, wqe,
+            is_write=wqe is not None and wqe.opcode == OP_RDMA_WRITE,
+            remote_addr=send.remote_addr, rkey=send.rkey,
+            total_length=send.total_length,
+        )
+        segment = _Segment(frame, wqe, last, self.sim.now)
+        if last:
+            segment.span_id = send.span_id
+        qp.outstanding[qp.next_psn] = segment
+        qp.next_psn = (qp.next_psn + 1) & 0xFFFFFF
+        qp.stats_sent_segments += 1
+        self._ctr_segments_sent.inc()
+        self._egress_frame(qp, frame)
+        if len(qp.outstanding) == 1:
+            self._arm_retransmit_timer(qp)
+        send.index = index + 1
+        self.sim.call_later(0.0, self._next_segment, send)
 
     def _build_frame(self, qp: RcQp, payload: bytes, first: bool, last: bool,
                      wqe: Optional[TxWqe], is_write: bool = False,

@@ -11,6 +11,12 @@ completer, which answers with one or more completion-with-data TLPs
 (split at the RCB).  Writes are posted.  All TLP handling is functional
 *and* timed: handlers run with real bytes when the initiator provides
 them, and every TLP pays serialization on both lanes it crosses.
+
+Transit is cut-through: a TLP's route is resolved and both of its lanes
+are reserved at issue time, and one event delivers it (one per
+multi-TLP train).  The Chrome tracer's per-lane records are emitted
+from those reservations when they retire, once arbitration can no
+longer move them, so traced runs take the same path as untraced ones.
 """
 
 from __future__ import annotations
@@ -89,37 +95,47 @@ class _CallbackDone:
 
 class DeferredWrite:
     """A posted write whose delivery the initiator folds into its own
-    continuation event (cut-through mode only).
+    continuation event.
 
     ``delivery`` is the TLP's arrival time at the endpoint — re-read it
     at fire time, since shared-lane arbitration may repair it later.
     The owner must call :meth:`commit` from its continuation event at
     (or after) ``delivery``; that retires the lane reservation and runs
     the endpoint's write handler, exactly what the fabric's own delivery
-    event would have done.
+    event would have done.  A span opened for the write closes at its
+    final ``delivery``.
     """
 
-    __slots__ = ("_fabric", "_tlp", "_link", "_record")
+    __slots__ = ("_fabric", "_tlp", "_link", "_record", "_span_id")
 
-    def __init__(self, fabric, tlp, link, record):
+    def __init__(self, fabric, tlp, link, record, span_id):
         self._fabric = fabric
         self._tlp = tlp
         self._link = link
         self._record = record
+        self._span_id = span_id
 
     @property
     def delivery(self) -> float:
         return self._record.delivery
 
     def commit(self) -> None:
-        self._fabric._retire_path(self._link, self._record)
-        self._fabric._deliver_write(self._tlp)
+        fabric = self._fabric
+        record = self._record
+        fabric._retire_path(self._link, record)
+        if self._span_id is not None:
+            fabric._spans.exit(self._span_id, record.delivery)
+        fabric._deliver_write(self._tlp)
 
     def retire(self) -> None:
         """Release the lane reservation without running the handler —
         for owners that already applied the write's effects themselves
         (e.g. a CQE decoded at issue time)."""
-        self._fabric._retire_path(self._link, self._record)
+        fabric = self._fabric
+        record = self._record
+        fabric._retire_path(self._link, record)
+        if self._span_id is not None:
+            fabric._spans.exit(self._span_id, record.delivery)
 
 
 class _Port:
@@ -172,20 +188,19 @@ class PcieFabric:
         self._pending_reads: Dict[int, dict] = {}
         self.stats_tlps: Dict[str, int] = {}
         self._spans = sim.telemetry.spans
+        tracer = sim.telemetry.tracer
+        # Lane records are emitted when reservations retire (their
+        # start/finish are final by then); None skips the check.
+        self._tracer = tracer if tracer.enabled else None
         prof = sim.profiler
         self._prof = prof if prof.enabled else None
         # Cut-through transit: resolve the route and reserve both lanes
         # at issue time, with one delivery event per TLP (and one per
-        # multi-TLP train) instead of the per-hop send→route→deliver
-        # event chain.  Lane arbitration stays exact: reservations apply
-        # in switch-arrival (time, seq) order (see Link.reserve).  The
-        # Chrome tracer records lane spans as they serialize, which
-        # post-hoc reservation repair would falsify, so traced runs keep
-        # the per-hop chain.
-        self._cut_through = not sim.telemetry.tracer.enabled
-        # Arrival-order tie-break: monotonic per-TLP issue sequence,
-        # mirroring the dispatch order the per-hop chain's switch events
-        # would have had for same-instant arrivals.
+        # multi-TLP train).  Lane arbitration stays exact: reservations
+        # apply in switch-arrival (time, seq) order (see Link.reserve).
+        # Arrival-order tie-break: monotonic per-TLP issue sequence, the
+        # dispatch order a per-hop switch event chain would have had for
+        # same-instant arrivals.
         self._issue_seq = 0
         # The trace context of the MEM_WRITE currently being delivered;
         # endpoints may claim it inside handle_write to re-associate a
@@ -205,8 +220,6 @@ class PcieFabric:
         if endpoint.name in self._ports:
             raise PcieError(f"endpoint {endpoint.name!r} already attached")
         port = _Port(self.sim, endpoint, config or PcieLinkConfig())
-        port.up.connect(self._route)
-        port.down.connect(self._deliver)
         self._ports[endpoint.name] = port
         endpoint.fabric = self
         endpoint._port = port
@@ -290,8 +303,9 @@ class PcieFabric:
         ``on_done`` (a zero-argument callable) instead of chaining on
         the returned event: the write then skips the Event allocation
         entirely and invokes the callback at the exact instant the
-        event would have fired.  The return value is not an Event in
-        that case and must be ignored.
+        event would have fired (after the write's span, if any, has
+        closed).  The return value is not an Event in that case and
+        must be ignored.
         """
         port = self.port_of(requester)
         if data is None and length is None:
@@ -299,10 +313,8 @@ class PcieFabric:
         total = len(data) if data is not None else length
         mps = port.config.max_payload_size
         span_id = self._spans.enter(trace_ctx, trace_stage, self.sim._now)
-        if on_done is not None and span_id is None:
-            done = _CallbackDone(on_done)
-        else:
-            done = Event(self.sim)
+        done = (_CallbackDone(on_done) if on_done is not None
+                else Event(self.sim))
 
         if 0 < total <= mps:
             # Single-TLP fast path — the common case for descriptors,
@@ -318,33 +330,26 @@ class PcieFabric:
             return done
 
         cursor = 0
-        chunks = split_write_bytes(total, mps) or [0]
-        if self._cut_through and self.decode(address).contains(
-                address + max(total, 1) - 1):
+        tlps = []
+        for chunk in split_write_bytes(total, mps) or [0]:
+            payload = data[cursor:cursor + chunk] if data is not None else None
+            tlp = Tlp(TlpType.MEM_WRITE, address + cursor, chunk, payload,
+                      requester=requester.name)
+            tlp.trace_ctx = trace_ctx
+            cursor += chunk
+            tlps.append(tlp)
+        if self.decode(address).contains(address + max(total, 1) - 1):
             # Whole train decodes to one endpoint: reserve every TLP's
             # lane occupancy now and deliver the train in one aggregate
             # event at the last chunk's arrival (per-TLP stats stay
             # exact; nothing observes the target between chunk times —
             # any dependent TLP orders behind the last chunk on the
             # same lane anyway).
-            tlps = []
-            for chunk in chunks:
-                payload = (data[cursor:cursor + chunk]
-                           if data is not None else None)
-                tlp = Tlp(TlpType.MEM_WRITE, address + cursor, chunk, payload,
-                          requester=requester.name)
-                tlp.trace_ctx = trace_ctx
-                cursor += chunk
-                tlps.append(tlp)
             self._send_train(port, tlps, span_id, done)
             return done
-        finish = _WriteCountdown(len(chunks), self, span_id, done)
-        for chunk in chunks:
-            payload = data[cursor:cursor + chunk] if data is not None else None
-            tlp = Tlp(TlpType.MEM_WRITE, address + cursor, chunk, payload,
-                      requester=requester.name)
-            tlp.trace_ctx = trace_ctx
-            cursor += chunk
+        # A write straddling BARs lands chunk by chunk.
+        finish = _WriteCountdown(len(tlps), self, span_id, done)
+        for tlp in tlps:
             tlp.on_delivered = finish
             self._send(port, tlp)
         return done
@@ -357,16 +362,14 @@ class PcieFabric:
 
         As with :meth:`post_write`, flattened initiators that only need
         the data pass ``on_done`` (called with the bytes at completion
-        time) and the Event allocation is skipped; the return value must
-        then be ignored.
+        time, after the read's span has closed) and the Event allocation
+        is skipped; the return value must then be ignored.
         """
         if length <= 0:
             raise PcieError("read length must be positive")
         port = self.port_of(requester)
-        if on_done is not None and trace_ctx is None:
-            done = _CallbackDone(on_done)
-        else:
-            done = Event(self.sim)
+        done = (_CallbackDone(on_done) if on_done is not None
+                else Event(self.sim))
         request = Tlp(TlpType.MEM_READ, address, length,
                       requester=requester.name)
         request.trace_ctx = trace_ctx
@@ -374,60 +377,66 @@ class PcieFabric:
             "event": done,
             "requester": requester.name,
             "chunks": [],
-            "remaining": None,
+            "span": (self._spans.enter(trace_ctx, trace_stage,
+                                       self.sim._now)
+                     if trace_ctx is not None else None),
         }
-        if trace_ctx is not None:
-            span_id = self._spans.enter(trace_ctx, trace_stage,
-                                        self.sim._now)
-            done.add_callback(
-                lambda _event: self._spans.exit(span_id, self.sim._now))
         self._send(port, request)
         return done
 
     def post_write_deferred(self, requester: PcieEndpoint, address: int,
-                            data: bytes) -> Optional[DeferredWrite]:
+                            data: bytes, trace_ctx=None,
+                            trace_stage: str = "pcie.write"
+                            ) -> DeferredWrite:
         """A single-TLP posted write without its own delivery event.
 
-        Cut-through fast path for initiators that already schedule a
-        continuation at/after the write's arrival (e.g. a CQE write
-        fused with the consumer's processing delay): lanes are reserved
-        and per-TLP stats counted exactly as :meth:`post_write`, but the
-        caller owns delivery via the returned handle's ``commit()``.
-        Returns ``None`` (caller falls back to :meth:`post_write`) in
-        per-hop mode or when the write doesn't fit one TLP.
+        For initiators that already schedule a continuation at/after the
+        write's arrival (e.g. a CQE write fused with the consumer's
+        processing delay): lanes are reserved and per-TLP stats counted
+        exactly as :meth:`post_write`, but the caller owns delivery via
+        the returned handle's ``commit()``.  ``trace_ctx`` rides the TLP
+        (claimable by the endpoint at commit) and opens a
+        ``trace_stage`` span that closes at the write's delivery.
         """
-        if not self._cut_through:
-            return None
         port = self.port_of(requester)
         if not 0 < len(data) <= port.config.max_payload_size:
-            return None
+            raise PcieError("post_write_deferred needs a single-TLP payload")
         tlp = Tlp(TlpType.MEM_WRITE, address, len(data), data,
                   requester=requester.name)
+        tlp.trace_ctx = trace_ctx
+        span_id = (self._spans.enter(trace_ctx, trace_stage, self.sim._now)
+                   if trace_ctx is not None else None)
         stats = self.stats_tlps
         stats["MWr"] = stats.get("MWr", 0) + 1
         if port.tele_up is not None:
             port.tele_up.count(tlp)
         target, record = self._reserve_path(port, tlp)
-        return DeferredWrite(self, tlp, target.down, record)
+        return DeferredWrite(self, tlp, target.down, record, span_id)
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
-                      data: bytes, arrival: float) -> Event:
+                      data: bytes, arrival: float, on_done,
+                      trace_ctx=None, trace_stage: str = "pcie.write") -> None:
         """A single-TLP posted write arbitrating as if issued at ``arrival``.
 
-        Fused pipeline stages resolve a future write early (cut-through
-        mode only): both lanes are reserved under the future arrival key
-        — the reservation model replays the reference arbitration
-        exactly (see :class:`~repro.sim.resources.Reservation`) — and
-        the write delivers through the normal cut-through event at its
-        computed arrival.
+        Fused pipeline stages resolve a future write early: both lanes
+        are reserved under the future arrival key — the reservation
+        model replays the reference arbitration exactly (see
+        :class:`~repro.sim.resources.Reservation`) — and the write
+        delivers through the normal cut-through event at its computed
+        arrival, where ``on_done()`` runs.  A ``trace_ctx`` span opens
+        at ``arrival``.
         """
         port = self.port_of(requester)
         if not 0 < len(data) <= port.config.max_payload_size:
             raise PcieError("post_write_at needs a single-TLP payload")
-        done = Event(self.sim)
+        done = _CallbackDone(on_done)
         tlp = Tlp(TlpType.MEM_WRITE, address, len(data), data,
                   requester=requester.name)
-        tlp.on_delivered = done.succeed
+        tlp.trace_ctx = trace_ctx
+        span_id = (self._spans.enter(trace_ctx, trace_stage, arrival)
+                   if trace_ctx is not None else None)
+        tlp.on_delivered = (done.succeed if span_id is None
+                            else _WriteCountdown(1, self, span_id, done))
         stats = self.stats_tlps
         stats["MWr"] = stats.get("MWr", 0) + 1
         if port.tele_up is not None:
@@ -436,7 +445,6 @@ class PcieFabric:
         sim = self.sim
         sim.call_later(record.delivery - sim._now, self._arrive,
                        (tlp, target.down, record))
-        return done
 
     # -- internals -----------------------------------------------------------
 
@@ -446,13 +454,10 @@ class PcieFabric:
         stats[kind] = stats.get(kind, 0) + 1
         if port.tele_up is not None:
             port.tele_up.count(tlp)
-        if self._cut_through:
-            target, record = self._reserve_path(port, tlp)
-            sim = self.sim
-            sim.call_later(record.delivery - sim._now, self._arrive,
-                           (tlp, target.down, record))
-            return
-        port.up.send(tlp, tlp.wire_bytes() * 8)
+        target, record = self._reserve_path(port, tlp)
+        sim = self.sim
+        sim.call_later(record.delivery - sim._now, self._arrive,
+                       (tlp, target.down, record))
 
     # -- cut-through transit -------------------------------------------------
 
@@ -502,19 +507,29 @@ class PcieFabric:
         down.upstream = (up, up_record)
         return target, down
 
-    @staticmethod
-    def _retire_path(link, record) -> None:
+    def _retire_path(self, link, record) -> None:
         """Retire a delivered TLP's reservations on both lanes.
 
         By delivery time the upstream occupancy is strictly in the past
         (no later issue can precede it — arrival keys are >= now), so
         retiring it is pure pruning: without this the upstream pending
         lists only ever grow and every out-of-order insert degrades to
-        a linear scan."""
+        a linear scan.  It is also the moment both hops' start/finish
+        are final, so this is where the tracer records them."""
         upstream = record.upstream
         if upstream is not None:
             upstream[0].retire(upstream[1])
         link.retire(record)
+        if self._tracer is not None:
+            self._trace_hops(link, record)
+
+    @staticmethod
+    def _trace_hops(link, record) -> None:
+        """Emit one retired TLP's lane records (upstream, then down)."""
+        upstream = record.upstream
+        if upstream is not None:
+            upstream[0].trace(upstream[1], "Tlp")
+        link.trace(record, "Tlp")
 
     def _send_train(self, port: _Port, tlps: List[Tlp], span_id,
                     done: Event) -> None:
@@ -566,6 +581,9 @@ class PcieFabric:
             if upstream is not None:
                 upstream[0].retire(upstream[1])
         link.retire(last)
+        if self._tracer is not None:
+            for record in records:
+                self._trace_hops(link, record)
         for tlp in tlps:
             self._deliver_write(tlp)
         if span_id is not None:
@@ -617,9 +635,7 @@ class PcieFabric:
         requester_port = self._ports[tlp.requester]
         rcb = completer_port.config.read_completion_boundary
         chunks = completion_chunks(tlp.length, rcb)
-        state = self._pending_reads[tlp.tag]
-        state["remaining"] = len(chunks)
-        parts = state["chunks"]
+        parts = self._pending_reads[tlp.tag]["chunks"]
         sim = self.sim
         now = sim._now
         stats = self.stats_tlps
@@ -656,14 +672,14 @@ class PcieFabric:
             arrivals = []
             total_bits = 0
             cursor = 0
-            for index, chunk in enumerate(chunks):
+            for chunk in chunks:
                 bits = header_bits + chunk * 8
                 bits_list.append(bits)
                 total_bits += bits
                 start = now if now > prev else prev
                 prev = start if rate_up is None else start + bits / rate_up
                 arrivals.append(prev + lat_up)
-                append_part((index, data[cursor:cursor + chunk]))
+                append_part(data[cursor:cursor + chunk])
                 cursor += chunk
             self._issue_seq = seq + n
             up._busy_until = prev
@@ -679,13 +695,12 @@ class PcieFabric:
             return
         records = []
         cursor = 0
-        for index, chunk in enumerate(chunks):
+        for chunk in chunks:
             completion = Tlp(
                 TlpType.COMPLETION_DATA, tlp.address + cursor, chunk,
                 data[cursor:cursor + chunk], tag=tlp.tag,
                 requester=tlp.requester, completer=tlp.requester,
             )
-            completion.seq = index
             cursor += chunk
             stats["CplD"] = stats.get("CplD", 0) + 1
             if tele_up is not None:
@@ -699,7 +714,7 @@ class PcieFabric:
             down_record = down.reserve(bits, up_record.delivery, seq)
             down_record.upstream = (up, up_record)
             records.append(down_record)
-            parts.append((index, completion.data))
+            parts.append(completion.data)
         entry = (tlp.tag, down, records)
         sim.call_later(records[-1].delivery - now, self._read_completed,
                        entry)
@@ -721,71 +736,10 @@ class PcieFabric:
             if upstream is not None:
                 upstream[0].retire(upstream[1])
         link.retire(last)
+        if self._tracer is not None:
+            for record in records:
+                self._trace_hops(link, record)
         state = self._pending_reads.pop(tag)
-        data = b"".join(part for _seq, part in sorted(state["chunks"]))
-        state["event"].succeed(data)
-
-    # -- per-hop transit (traced runs) ---------------------------------------
-
-    def _route(self, tlp: Tlp) -> None:
-        """Switch stage: forward a TLP down its target's lane."""
-        kind = tlp.kind
-        if kind is TlpType.COMPLETION_DATA or kind is TlpType.COMPLETION:
-            target = self._ports[tlp.completer]
-        else:
-            bar = self.decode(tlp.address)
-            target = self.port_of(bar.endpoint)
-            tlp.bar = bar
-        if target.tele_down is not None:
-            target.tele_down.count(tlp)
-        target.down.send(tlp, tlp.wire_bytes() * 8)
-
-    def _deliver(self, tlp: Tlp) -> None:
-        """Endpoint ingress: run the handler / complete the transaction."""
-        kind = tlp.kind
-        prof = self._prof
-        if kind is TlpType.MEM_WRITE:
-            self._deliver_write(tlp)
-            return
-
-        if kind is TlpType.MEM_READ:
-            bar = tlp.bar
-            offset = tlp.address - bar.base
-            if prof is not None:
-                prof.current_tag = bar.endpoint.profile_tag
-            try:
-                data = bar.endpoint.handle_read(offset, tlp.length)
-            finally:
-                if prof is not None:
-                    prof.current_tag = "pcie"
-            completer_port = self.port_of(bar.endpoint)
-            rcb = completer_port.config.read_completion_boundary
-            chunks = completion_chunks(tlp.length, rcb)
-            state = self._pending_reads[tlp.tag]
-            state["remaining"] = len(chunks)
-            cursor = 0
-            for index, chunk in enumerate(chunks):
-                completion = Tlp(
-                    TlpType.COMPLETION_DATA, tlp.address + cursor, chunk,
-                    data[cursor:cursor + chunk], tag=tlp.tag,
-                    requester=tlp.requester, completer=tlp.requester,
-                )
-                completion.seq = index
-                cursor += chunk
-                self._send(completer_port, completion)
-            return
-
-        if kind is TlpType.COMPLETION_DATA:
-            state = self._pending_reads.get(tlp.tag)
-            if state is None:
-                raise PcieError(f"orphan completion {tlp!r}")
-            state["chunks"].append((tlp.seq, tlp.data))
-            if len(state["chunks"]) == state["remaining"]:
-                del self._pending_reads[tlp.tag]
-                data = b"".join(
-                    part for _seq, part in sorted(state["chunks"])
-                )
-                state["event"].succeed(data)
-            return
-
-        raise PcieError(f"unroutable TLP {tlp!r}")
+        if state["span"] is not None:
+            self._spans.exit(state["span"], sim._now)
+        state["event"].succeed(b"".join(state["chunks"]))

@@ -13,7 +13,6 @@ from .engine import (
     Simulator,
     Store,
 )
-from .fastpath import fused_dispatch_ok
 from .resources import DuplexLink, Link, TokenBucket, drain_store_via_link
 from .stats import (
     Counter,
@@ -39,6 +38,5 @@ __all__ = [
     "ThroughputMeter",
     "TokenBucket",
     "drain_store_via_link",
-    "fused_dispatch_ok",
     "percentile",
 ]

@@ -156,7 +156,8 @@ class Link:
         if telemetry.enabled and name:
             self._ctr_bits = telemetry.counter(f"link.{name}.bits")
             self._ctr_messages = telemetry.counter(f"link.{name}.messages")
-            self._tracer = telemetry.tracer
+            tracer = telemetry.tracer
+            self._tracer = tracer if tracer.enabled else None
         else:
             self._ctr_bits = None
             self._tracer = None
@@ -386,6 +387,18 @@ class Link:
         del fins[:drop]
         del self._lane_keys[:drop]
 
+    def trace(self, record: Reservation, name: str) -> None:
+        """Record ``record``'s serialization on the Chrome tracer.
+
+        Called when the reservation retires: arbitration can still move
+        a pending reservation later, but never a delivered one, so the
+        lane record is final.  Requires a live tracer (``_tracer``).
+        """
+        if record.finish > record.start:
+            self._tracer.complete(self.trace_process, self.name, name,
+                                  record.start, record.finish,
+                                  {"bits": record.bits})
+
     def send(self, message: Any, bits: float) -> float:
         """Enqueue ``message`` of ``bits``; returns its delivery time.
 
@@ -399,12 +412,6 @@ class Link:
         now = sim._now
         record = self.reserve(bits, now, sim._seq)
         record.message = message
-        if self._ctr_bits is not None:
-            tracer = self._tracer
-            if tracer.enabled and record.finish > record.start:
-                tracer.complete(self.trace_process, self.name,
-                                type(message).__name__, record.start,
-                                record.finish, {"bits": bits})
         sim.call_later(record.delivery - now, self._dispatch, record)
         return record.delivery
 
@@ -433,6 +440,8 @@ class Link:
             sim.call_later(record.delivery - sim._now, self._dispatch, record)
             return
         self.retire(record)
+        if self._tracer is not None:
+            self.trace(record, type(record.message).__name__)
         self.sink(record.message)
 
     def queue_delay(self) -> float:

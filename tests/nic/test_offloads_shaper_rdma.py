@@ -148,7 +148,7 @@ class TestRdmaEngine:
         loop = _Loopback(sim)
         wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500)
 
-        sim.spawn(loop.a.send_message(loop.qp_a, wqe, bytes(2500)))
+        loop.a.start_message(loop.qp_a, wqe, bytes(2500))
         sim.run(until=0.01)
         # 3 segments at MTU 1024 delivered to b in order.
         assert [len(p) for p in loop.delivered["b"]] == [1024, 1024, 452]
@@ -160,7 +160,7 @@ class TestRdmaEngine:
         loop = _Loopback(sim, drop_first_n=1)
         wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2048)
 
-        sim.spawn(loop.a.send_message(loop.qp_a, wqe, bytes(2048)))
+        loop.a.start_message(loop.qp_a, wqe, bytes(2048))
         sim.run(until=0.01)
         assert sum(len(p) for p in loop.delivered["b"]) == 2048
         assert loop.qp_a.stats_retransmits > 0
@@ -170,7 +170,7 @@ class TestRdmaEngine:
         sim = Simulator()
         loop = _Loopback(sim)
         wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 100)
-        sim.spawn(loop.a.send_message(loop.qp_a, wqe, b"x" * 100))
+        loop.a.start_message(loop.qp_a, wqe, b"x" * 100)
         # Duplicate the segment mid-flight (as a spurious retransmission
         # after a delayed ack would).
         def dup(sim):
@@ -193,7 +193,7 @@ class TestRdmaEngine:
         engine.register_qp(qp)
         wqe = TxWqe(OP_RDMA_SEND, 3, 0, 0, 10)
         with pytest.raises(RdmaError):
-            list(engine.send_message(qp, wqe, b"x"))
+            engine.start_message(qp, wqe, b"x")
 
     def test_duplicate_qpn_rejected(self):
         sim = Simulator()

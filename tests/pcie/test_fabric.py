@@ -12,10 +12,11 @@ from repro.pcie import (
     PcieLinkConfig,
 )
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 
-def build_fabric(latency=0.0):
-    sim = Simulator()
+def build_fabric(latency=0.0, telemetry=None):
+    sim = Simulator(telemetry=telemetry)
     fabric = PcieFabric(sim)
     config = PcieLinkConfig(latency=latency)
     host = MemoryRegion("host", 1 << 20)
@@ -155,6 +156,74 @@ class TestTransactions:
         _sim, fabric, host, _device = build_fabric()
         with pytest.raises(PcieError):
             fabric.read(host, 0x0, 0)
+
+
+class TestObservedTransactions:
+    """A live trace context or tracer records a transaction; it never
+    changes its completion or its timing."""
+
+    def _traced_fabric(self, **telemetry):
+        sim, fabric, host, device = build_fabric(
+            latency=200e-9, telemetry=Telemetry(**telemetry))
+        ctx = sim.telemetry.spans.start_trace("pkt", 0.0)
+        return sim, fabric, host, device, ctx
+
+    def test_on_done_fires_under_a_span_context(self):
+        sim, fabric, host, device, ctx = self._traced_fabric(
+            trace=False, spans=True)
+        fired = []
+        fabric.post_write(device, 0x100, b"hello", trace_ctx=ctx,
+                          on_done=lambda: fired.append(("write", sim.now)))
+        fabric.post_write(device, 0x200, bytes(1000), trace_ctx=ctx,
+                          trace_stage="pcie.train",
+                          on_done=lambda: fired.append(("train", sim.now)))
+        fabric.read(device, 0x300, 600, trace_ctx=ctx,
+                    on_done=lambda data: fired.append(("read", len(data))))
+        sim.run()
+        assert sorted(kind for kind, _ in fired) == ["read", "train",
+                                                    "write"]
+        spans = sim.telemetry.spans.get_trace(ctx).spans
+        assert len(spans) == 3
+        assert all(span.end is not None for span in spans)
+        # Each callback ran at its write's delivery, when its span closed.
+        closes = {span.stage: span.end for span in spans}
+        assert dict(fired)["write"] == closes["pcie.write"]
+        assert dict(fired)["train"] == closes["pcie.train"]
+
+    def test_deferred_write_span_closes_at_delivery(self):
+        sim, fabric, host, device, ctx = self._traced_fabric(
+            trace=False, spans=True)
+        handle = fabric.post_write_deferred(device, 0x100, b"cqe",
+                                            trace_ctx=ctx,
+                                            trace_stage="pcie.cqe_write")
+        sim.run()
+        late = handle.delivery + 1e-6
+        sim.schedule_at(late, handle.commit)
+        sim.run()
+        (span,) = sim.telemetry.spans.get_trace(ctx).spans
+        assert (span.stage, span.start, span.end) == (
+            "pcie.cqe_write", 0.0, handle.delivery)
+        assert host.handle_read(0x100, 3) == b"cqe"
+
+    def test_tracer_records_both_lanes_at_retire(self):
+        timings = {}
+        for traced in (False, True):
+            sim, fabric, host, device = build_fabric(
+                latency=200e-9, telemetry=Telemetry(trace=traced))
+            done = []
+            fabric.post_write(device, 0x100, b"x" * 64,
+                              on_done=lambda: done.append(sim.now))
+            sim.run()
+            timings[traced] = done
+            if traced:
+                lanes = sorted(
+                    (event["tid"], event["name"], event["args"]["bits"])
+                    for event in sim.telemetry.tracer.events
+                    if event["ph"] == "X")
+                assert [name for _tid, name, _bits in lanes] == ["Tlp",
+                                                                 "Tlp"]
+                assert lanes[0][2] == lanes[1][2] > 64 * 8
+        assert timings[True] == timings[False]
 
 
 class TestMmio:

@@ -238,3 +238,31 @@ class TestRetransmitSpanPropagation:
         spans, _ctx, _ = self._run_lossy_send()
         assert spans.orphan_spans() == []
         assert spans.pending_stashes() == []
+
+
+def test_inbox_drops_reach_the_registry():
+    """RDMA segments dropped at a full RQ inbox count in the registry
+    exactly as in the NIC's own stat (the Ethernet path does both)."""
+    from repro.nic import NicConfig
+
+    telemetry = Telemetry(trace=False)
+    sim = Simulator(telemetry=telemetry)
+    client, server = make_remote_pair(
+        sim, nic_config=NicConfig(rx_inbox_depth=2, processing_delay=2e-6))
+    client.add_vport_for_mac(1, CLIENT_MAC)
+    server.add_vport_for_mac(1, SERVER_MAC)
+    cep = client.driver.create_rc_endpoint(1, CLIENT_MAC, "10.0.0.1",
+                                           buffer_size=8192)
+    sep = server.driver.create_rc_endpoint(1, SERVER_MAC, "10.0.0.2",
+                                           buffer_size=8192)
+    cep.post_rx_buffers(64)
+    sep.post_rx_buffers(64)
+    cep.connect(SERVER_MAC, "10.0.0.2", sep.qpn)
+    sep.connect(CLIENT_MAC, "10.0.0.1", cep.qpn)
+    cep.post_send(bytes(8 * 1024))
+    sim.run(until=100e-6)
+    dropped = server.nic.stats_rx_dropped_inbox
+    assert dropped > 0
+    counter = telemetry.metrics.counter(
+        f"nic.{server.nic.name}.rx.dropped_inbox")
+    assert counter.value == dropped
