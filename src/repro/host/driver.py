@@ -59,8 +59,9 @@ class EthQueuePair:
         self.sim = driver.sim
         self.buffer_size = buffer_size
         self.use_mmio_wqe = use_mmio_wqe
-        # The core servicing this queue's receive path; multi-queue apps
-        # (RSS experiments) give each queue its own core.
+        # The core servicing this queue's receive path (default: the
+        # driver's); multi-queue apps (RSS experiments) give each queue
+        # its own core.
         self.core = core if core is not None else driver.core
         # Selective completion signalling (§6): request a CQE only every
         # N WQEs; one completion retires the whole preceding batch.
@@ -96,21 +97,16 @@ class EthQueuePair:
         # Completion retirement is pure bookkeeping (no timeouts).
         _NotifyConsumer(self.sim, self.tx_cq.notify,
                         f"ethqp{self.sq.qpn}.txc", self._retire_tx)
-        # Receive dispatch.  With a core, the NIC hands rx CQEs (with
-        # their in-flight write handle) straight to _rx_fused, which
-        # folds PCIe delivery and the core's per-packet processing delay
-        # into ONE event per packet: a serial dispatcher starting each
-        # packet at max(cqe_arrival, previous_done) and working
-        # packet_cost() seconds.  A core-less queue costs no time per
-        # packet, so a flat notify consumer takes each CQE on arrival.
+        # Receive dispatch.  The NIC hands rx CQEs (with their in-flight
+        # write handle) straight to _rx_fused, which folds PCIe delivery
+        # and the core's per-packet processing delay into ONE event per
+        # packet: a serial dispatcher starting each packet at
+        # max(cqe_arrival, previous_done) and working packet_cost()
+        # seconds.
         self._fused_planned = 0.0   # planned end of the dispatch chain
         self._fused_done = 0.0      # actual end (>= planned under repair)
         self._fused_queue = deque()
-        if self.core is not None:
-            self.rx_cq.fused_rx = self._rx_fused
-        else:
-            _NotifyConsumer(self.sim, self.rx_cq.notify, self.profile_tag,
-                            self._consume)
+        self.rx_cq.fused_rx = self._rx_fused
 
     def _take(self, size: int) -> int:
         """Allocate host memory, remembered for release on close()."""
@@ -291,15 +287,11 @@ class EthQueuePair:
                 return
             entry = queue[0]
 
-    def _consume(self, cqe, started: Optional[float] = None,
-                 handle=None) -> None:
-        """Land the CQE write (when deferred), read the packet, recycle
-        its buffer and hand it to the app.  ``started`` is when the
-        dispatcher took the packet up (default: now)."""
-        if handle is not None:
-            handle.commit()
-        if started is None:
-            started = self.sim._now
+    def _consume(self, cqe, started: float, handle) -> None:
+        """Land the deferred CQE write, read the packet, recycle its
+        buffer and hand it to the app.  ``started`` is when the
+        dispatcher took the packet up."""
+        handle.commit()
         driver = self.driver
         slot = cqe.wqe_counter % self.rq.entries
         buffer_addr = self._rx_buffers[slot]
@@ -514,8 +506,7 @@ class RcEndpoint:
             if cqe is _POISON:
                 return
             started = self.sim._now
-            if driver.core is not None:
-                yield self.sim.timeout(driver.core.packet_cost())
+            yield self.sim.timeout(driver.core.packet_cost())
             slot = cqe.wqe_counter % self.rq.entries
             buffer_addr = self._rx_buffers[slot]
             data = driver.memory.read_local(
@@ -549,7 +540,7 @@ class SoftwareDriver:
 
     def __init__(self, sim: Simulator, fabric, nic: Nic,
                  memory: HostMemory, mem_base: int, nic_bar_base: int,
-                 core: Optional[CpuCore] = None, name: str = "cpu"):
+                 core: CpuCore, name: str = "cpu"):
         self.sim = sim
         self.fabric = fabric
         self.nic = nic

@@ -523,6 +523,21 @@ class PcieFabric:
         if self._tracer is not None:
             self._trace_hops(link, record)
 
+    def _retire_train(self, link, records) -> None:
+        """Batch-retire a delivered train (posted writes or read
+        completions): mark every record done and prune its upstream
+        hop, then prune the down-lane prefix once instead of once per
+        chunk.  The tracer records the train's hops here."""
+        for record in records:
+            record.done = True
+            upstream = record.upstream
+            if upstream is not None:
+                upstream[0].retire(upstream[1])
+        link.retire(records[-1])
+        if self._tracer is not None:
+            for record in records:
+                self._trace_hops(link, record)
+
     @staticmethod
     def _trace_hops(link, record) -> None:
         """Emit one retired TLP's lane records (upstream, then down)."""
@@ -575,15 +590,7 @@ class PcieFabric:
             sim.call_later(last.delivery - sim._now, self._train_arrived,
                            entry)
             return
-        for record in records:
-            record.done = True
-            upstream = record.upstream
-            if upstream is not None:
-                upstream[0].retire(upstream[1])
-        link.retire(last)
-        if self._tracer is not None:
-            for record in records:
-                self._trace_hops(link, record)
+        self._retire_train(link, records)
         for tlp in tlps:
             self._deliver_write(tlp)
         if span_id is not None:
@@ -728,17 +735,7 @@ class PcieFabric:
             sim.call_later(last.delivery - sim._now, self._read_completed,
                            entry)
             return
-        # Batch retire: mark the whole train done, then prune the lane
-        # prefix once instead of once per chunk.
-        for record in records:
-            record.done = True
-            upstream = record.upstream
-            if upstream is not None:
-                upstream[0].retire(upstream[1])
-        link.retire(last)
-        if self._tracer is not None:
-            for record in records:
-                self._trace_hops(link, record)
+        self._retire_train(link, records)
         state = self._pending_reads.pop(tag)
         if state["span"] is not None:
             self._spans.exit(state["span"], sim._now)

@@ -112,15 +112,10 @@ class TestRemoteEcho:
 
 
 class TestLocalLoopback:
-    @pytest.mark.parametrize("coreless", [False, True])
-    def test_vport_to_vport_echo(self, coreless):
-        """Two vPorts on one NIC, eSwitch loopback (the local setup).
-
-        Core-less queues consume each CQE the moment it lands."""
+    def test_vport_to_vport_echo(self):
+        """Two vPorts on one NIC, eSwitch loopback (the local setup)."""
         sim = Simulator()
         node = make_local_node(sim)
-        if coreless:
-            node.driver.core = None
         node.add_vport_for_mac(1, CLIENT_MAC)
         node.add_vport_for_mac(2, SERVER_MAC)
 

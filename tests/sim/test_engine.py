@@ -198,6 +198,43 @@ class TestStore:
         assert ("a", 0.0) in events
         assert ("b", 5.0) in events
 
+    @staticmethod
+    def _hold_then_pop(put_before_hold):
+        """One-slot store holding "a"; a consumer pops it at t=0 under a
+        hold until t=5 while a producer puts "b".  Returns when "b" was
+        admitted."""
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        store.try_put("a")
+        admitted = []
+
+        def put_b():
+            store.put("b").add_callback(
+                lambda _event: admitted.append(sim.now))
+
+        def run(sim):
+            if put_before_hold:
+                put_b()
+            store.hold_slot(5.0)
+            assert store.try_get() == "a"
+            if not put_before_hold:
+                put_b()
+            yield sim.timeout(10.0)
+
+        sim.spawn(run(sim))
+        sim.run()
+        return admitted
+
+    def test_hold_slot_admits_putter_at_deadline(self):
+        assert self._hold_then_pop(put_before_hold=False) == [5.0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "hold_slot schedules no wake for a putter that blocked on a "
+        "full store before the hold was taken (ROADMAP 'Hold-slot "
+        "wake')"))
+    def test_hold_slot_admits_earlier_putter_at_deadline(self):
+        assert self._hold_then_pop(put_before_hold=True) == [5.0]
+
     def test_try_get_empty_returns_none(self):
         sim = Simulator()
         store = Store(sim)
